@@ -33,6 +33,7 @@ from ..relational.expressions import (
     or_,
     simplify,
     substitute_attributes,
+    variables_of,
 )
 from ..relational.schema import Schema
 from ..relational.statements import (
@@ -172,8 +173,6 @@ def dependency_slice(
             touches_h = and_(local_h, _condition_over(stmt, tuple_h))
             touches_m = and_(local_m, _condition_over(stmt, tuple_m))
             core = and_(affected_any, or_(touches_h, touches_m))
-            from ..relational.expressions import variables_of
-
             needed = variables_of(core) | variables_of(phi_d)
             relevant = prune_defining_conjuncts(defs, needed)
             formula = and_(phi_d, *relevant, core)

@@ -35,6 +35,7 @@ from ..relational.expressions import (
     eq,
     or_,
     simplify,
+    variables_of,
 )
 from ..relational.history import History
 from ..relational.schema import Schema
@@ -179,8 +180,6 @@ class _RelationSlicer:
         body = slicing_condition(
             self.run_h, self.run_m, run_h_sliced, run_m_sliced
         )
-        from ..relational.expressions import variables_of
-
         all_defs = (
             list(self.run_h.global_conjuncts)
             + list(self.run_m.global_conjuncts)

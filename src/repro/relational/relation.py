@@ -10,7 +10,7 @@ their inputs, which is what makes cheap snapshot-based time travel possible
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .expressions import Expr, evaluate
@@ -25,6 +25,13 @@ class Relation:
 
     schema: Schema
     tuples: frozenset[tuple[Any, ...]]
+    #: Column summaries behind Φ_D, keyed by compression config; filled
+    #: lazily by :func:`repro.symbolic.compress.compress_relation`.  A
+    #: relation never changes, so a summary kept here cannot go stale.
+    #: Not part of ``==``, ``hash`` or ``repr``.
+    _column_summaries: Mapping[Any, Any] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         raw = self.tuples

@@ -10,7 +10,17 @@ so the possible worlds of the compressed VC-database are a *superset* of
 the database — the property Theorem 4's proof relies on.
 
 Attributes with unordered (string) domains of high cardinality are simply
-omitted from the constraint, as the paper prescribes.
+omitted from the constraint, as the paper prescribes; so are attributes
+with mixed types and numeric attributes containing NaN (whose min/max
+would depend on row order).
+
+Φ_D is built in two steps.  :func:`summarize_columns` makes one pass over
+the relation's columns and returns a small :data:`ColumnSummary`: per
+group, per attribute, a :class:`NumericRange`, the sorted distinct
+strings, or ``None``.  The summary is computed once per relation object
+and config and kept on the relation (see DESIGN.md "Φ_D compression");
+:func:`compress_relation` then turns it into an ``Expr`` over the
+caller's symbolic tuple in O(groups × attributes).
 """
 
 from __future__ import annotations
@@ -18,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
+from ..obs import trace
+from ..obs.metrics import global_registry
 from ..relational.expressions import (
     Expr,
     TRUE,
@@ -28,9 +40,17 @@ from ..relational.expressions import (
     or_,
 )
 from ..relational.relation import Relation
+from ..relational.schema import Schema
 from .vctable import SymbolicTuple
 
-__all__ = ["CompressionConfig", "compress_relation", "constraint_admits_all"]
+__all__ = [
+    "ColumnSummary",
+    "CompressionConfig",
+    "NumericRange",
+    "compress_relation",
+    "constraint_admits_all",
+    "summarize_columns",
+]
 
 #: Above this many distinct strings an attribute is left unconstrained.
 DEFAULT_MAX_DISTINCT = 12
@@ -52,6 +72,30 @@ class CompressionConfig:
     max_distinct: int = DEFAULT_MAX_DISTINCT
 
 
+@dataclass(frozen=True, slots=True)
+class NumericRange:
+    """The ``[low, high]`` bounds of a NaN-free numeric attribute."""
+
+    low: Any
+    high: Any
+
+
+#: What Φ_D knows of one attribute within one group: its numeric range,
+#: its sorted distinct strings, or nothing (``None``: left out of Φ_D).
+Bound = NumericRange | tuple[str, ...] | None
+
+#: One tuple of per-attribute bounds (in schema order) per group; the
+#: empty tuple for an empty relation.
+ColumnSummary = tuple[tuple[Bound, ...], ...]
+
+_COMPRESSIONS = global_registry().counter(
+    "mahif_compress_total",
+    "Φ_D compressions by whether the relation's column summary was "
+    "already computed (hit) or had to be (miss).",
+    ("outcome",),
+)
+
+
 def compress_relation(
     relation: Relation,
     symbolic_tuple: SymbolicTuple,
@@ -62,67 +106,107 @@ def compress_relation(
     Returns Φ_D: a disjunction with one disjunct per group.  An empty
     relation compresses to ``TRUE`` (no information, all worlds possible —
     still a safe over-approximation).
+
+    The column summary is computed on the first call for a relation
+    object and config and reused afterwards.  Two threads filling it at
+    once both compute the same value; the later write wins, harmlessly.
     """
     config = config or CompressionConfig()
-    rows = [relation.schema.as_dict(t) for t in relation]
+    with trace.span("compress", rows=len(relation)) as span:
+        summaries = relation._column_summaries or {}
+        summary = summaries.get(config)
+        outcome = "miss" if summary is None else "hit"
+        if summary is None:
+            summary = summarize_columns(relation, config)
+            object.__setattr__(
+                relation, "_column_summaries", {**summaries, config: summary}
+            )
+        span.set_attribute("outcome", outcome)
+        _COMPRESSIONS.inc(outcome=outcome)
+        return _constraint(summary, relation.schema, symbolic_tuple)
+
+
+def summarize_columns(
+    relation: Relation, config: CompressionConfig
+) -> ColumnSummary:
+    """One pass over the columns of each group of ``relation``."""
+    return tuple(
+        tuple(_bound(column, config.max_distinct) for column in zip(*group))
+        for group in _groups(relation, config)
+    )
+
+
+def _groups(
+    relation: Relation, config: CompressionConfig
+) -> list[Iterable[tuple[Any, ...]]]:
+    """Split the rows into groups per the configuration."""
+    rows = relation.tuples
     if not rows:
-        return TRUE
-
-    groups = _partition(rows, config)
-    disjuncts = [
-        _group_constraint(group, relation, symbolic_tuple, config)
-        for group in groups
-        if group
-    ]
-    return or_(*disjuncts) if disjuncts else TRUE
-
-
-def _partition(
-    rows: list[dict[str, Any]], config: CompressionConfig
-) -> list[list[dict[str, Any]]]:
-    """Split rows into groups per the configuration."""
+        return []
     if config.group_by is None:
         return [rows]
-    attribute = config.group_by
-    sample = rows[0].get(attribute)
-    if isinstance(sample, str) or isinstance(sample, bool):
-        buckets: dict[Any, list[dict[str, Any]]] = {}
+    index = relation.schema.index_of(config.group_by)
+    sample = next(iter(rows))[index]
+    if isinstance(sample, (str, bool)):
+        buckets: dict[Any, list[tuple[Any, ...]]] = {}
         for row in rows:
-            buckets.setdefault(row[attribute], []).append(row)
+            buckets.setdefault(row[index], []).append(row)
         return list(buckets.values())
     # numeric group-by: quantile buckets
-    ordered = sorted(rows, key=lambda r: (r[attribute] is None, r[attribute]))
+    ordered = sorted(rows, key=lambda r: (r[index] is None, r[index]))
     n = max(1, config.num_groups)
     size = max(1, (len(ordered) + n - 1) // n)
     return [ordered[i : i + size] for i in range(0, len(ordered), size)]
 
 
-def _group_constraint(
-    group: list[dict[str, Any]],
-    relation: Relation,
-    symbolic_tuple: SymbolicTuple,
-    config: CompressionConfig,
+def _bound(column: Sequence[Any], max_distinct: int) -> Bound:
+    """What Φ_D may say about one attribute, from its non-NULL values."""
+    kinds = set(map(type, column))
+    if type(None) in kinds:
+        kinds.discard(type(None))
+        column = [v for v in column if v is not None]
+        if not column:
+            return None
+    if all(
+        issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds
+    ):
+        if any(issubclass(k, float) for k in kinds) and any(
+            v != v for v in column
+        ):
+            # min/max over NaN depend on row order; omitting is sound
+            return None
+        return NumericRange(min(column), max(column))
+    if all(issubclass(k, str) for k in kinds):
+        distinct = set(column)
+        if len(distinct) <= max_distinct:
+            return tuple(sorted(distinct))
+        # else: unordered high-cardinality attribute — omit (paper)
+    # mixed-type / boolean attributes: omit, still sound
+    return None
+
+
+def _constraint(
+    summary: ColumnSummary, schema: Schema, symbolic_tuple: SymbolicTuple
 ) -> Expr:
-    """One conjunction of per-attribute range constraints for a group."""
-    conjuncts: list[Expr] = []
-    for attribute in relation.schema:
-        var = symbolic_tuple[attribute]
-        values = [row[attribute] for row in group if row[attribute] is not None]
-        if not values:
-            continue
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-            low, high = min(values), max(values)
-            if low == high:
-                conjuncts.append(eq(var, low))
+    """Φ_D over ``symbolic_tuple``: one conjunction per group, or'ed."""
+    disjuncts: list[Expr] = []
+    for group in summary:
+        conjuncts: list[Expr] = []
+        for attribute, bound in zip(schema, group):
+            if bound is None:
+                continue
+            var = symbolic_tuple[attribute]
+            if isinstance(bound, NumericRange):
+                if bound.low == bound.high:
+                    conjuncts.append(eq(var, bound.low))
+                else:
+                    conjuncts.append(
+                        and_(ge(var, bound.low), le(var, bound.high))
+                    )
             else:
-                conjuncts.append(and_(ge(var, low), le(var, high)))
-        elif all(isinstance(v, str) for v in values):
-            distinct = sorted(set(values))
-            if len(distinct) <= config.max_distinct:
-                conjuncts.append(or_(*[eq(var, v) for v in distinct]))
-            # else: unordered high-cardinality attribute — omit (paper)
-        # mixed-type / boolean attributes: omit, still sound
-    return and_(*conjuncts) if conjuncts else TRUE
+                conjuncts.append(or_(*[eq(var, v) for v in bound]))
+        disjuncts.append(and_(*conjuncts) if conjuncts else TRUE)
+    return or_(*disjuncts) if disjuncts else TRUE
 
 
 def constraint_admits_all(

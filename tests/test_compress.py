@@ -4,10 +4,15 @@ The key invariant (used by Theorem 4): every tuple of the input relation
 satisfies Φ_D, i.e. the compressed worlds over-approximate the database.
 """
 
+import json
+import random
+
 import pytest
 
 from repro import Relation, Schema
-from repro.relational.expressions import TRUE, disjuncts_of, evaluate
+from repro.obs import trace
+from repro.obs.metrics import global_registry
+from repro.relational.expressions import TRUE, disjuncts_of, evaluate, variables_of
 from repro.symbolic.compress import (
     CompressionConfig,
     compress_relation,
@@ -120,4 +125,70 @@ class TestCompression:
         # price constrained by the single non-null value
         assert evaluate(
             phi, {"x_Country": "UK", "x_ID": 1, "x_Price": 30, "x_Fee": 5}
+        )
+
+    def test_nan_attribute_omitted_whatever_the_row_order(self):
+        """min/max over a column holding NaN depend on row order; Φ_D
+        leaves such an attribute out, so it is the same for every order
+        and still admits every row (Theorem 4's superset property)."""
+        schema = Schema.of("a", "b")
+        symbolic = SymbolicTuple.fresh(schema, prefix="x")
+        phis = set()
+        for seed in range(8):
+            # fresh NaN objects hash by identity: each build iterates
+            # its rows in a different order
+            rows = [(float("nan"), 1), (1.0, 2), (-3.5, 2), (float("nan"), 4)]
+            random.Random(seed).shuffle(rows)
+            relation = Relation.from_rows(schema, rows)
+            phi = compress_relation(relation, symbolic)
+            assert constraint_admits_all(phi, relation, symbolic)
+            phis.add(phi)
+        assert len(phis) == 1
+        (phi,) = phis
+        assert variables_of(phi) == {"x_b"}
+
+    def test_nan_only_pair_admits_both_rows(self):
+        schema = Schema.of("a")
+        symbolic = SymbolicTuple.fresh(schema, prefix="x")
+        for rows in ([(float("nan"),), (1.0,)], [(1.0,), (float("nan"),)]):
+            relation = Relation.from_rows(schema, rows)
+            phi = compress_relation(relation, symbolic)
+            assert phi == TRUE
+            assert constraint_admits_all(phi, relation, symbolic)
+
+
+class TestCompressionObservability:
+    @pytest.fixture(autouse=True)
+    def _tracing_reset(self):
+        yield
+        trace.configure_tracing(None)
+
+    def test_one_span_per_relation_with_rows_and_outcome(
+        self, relation, symbolic_tuple
+    ):
+        lines: list[str] = []
+        trace.configure_tracing(lines.append, sample=1.0)
+        with trace.start_trace("request"):
+            compress_relation(relation, symbolic_tuple)
+            compress_relation(relation, symbolic_tuple)
+        spans = [json.loads(line) for line in lines]
+        compress = [s for s in spans if s["name"] == "compress"]
+        assert [s["attributes"] for s in compress] == [
+            {"rows": 4, "outcome": "miss"},
+            {"rows": 4, "outcome": "hit"},
+        ]
+
+    def test_counter_by_outcome(self, relation, symbolic_tuple):
+        counter = global_registry().counter(
+            "mahif_compress_total", "", ("outcome",)
+        )
+        hits, misses = counter.value(outcome="hit"), counter.value(
+            outcome="miss"
+        )
+        for _ in range(3):
+            compress_relation(relation, symbolic_tuple)
+        assert counter.value(outcome="miss") == misses + 1
+        assert counter.value(outcome="hit") == hits + 2
+        assert "mahif_compress_total{outcome=\"hit\"}" in (
+            global_registry().render()
         )
