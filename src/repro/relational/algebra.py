@@ -284,8 +284,9 @@ def _rebuild(op: Operator, children: tuple[Operator, ...]) -> Operator:
 def transform_operators(
     op: Operator, fn: Callable[[Operator], Operator | None]
 ) -> Operator:
-    """Bottom-up rewrite of an operator tree (same contract as
-    :func:`repro.relational.expressions.transform`)."""
+    """Bottom-up rewrite of an operator tree: apply ``fn`` to each node
+    after rewriting its children; ``fn`` returns a replacement node or
+    ``None`` to keep it."""
     children = _children(op)
     if children:
         new_children = tuple(transform_operators(c, fn) for c in children)

@@ -75,9 +75,22 @@ class EvaluationError(Exception):
 class Expr:
     """Base class for all expression nodes.
 
-    Subclasses are frozen dataclasses, so expressions are hashable and can
-    be shared freely between queries, histories and symbolic states.
+    Subclasses are frozen, slotted dataclasses, so expressions are hashable
+    and can be shared freely between queries, histories and symbolic
+    states.
+
+    Two per-node caches live in slots that are not dataclass fields, so
+    ``==``, ``hash``, ``repr`` and pickling ignore them: ``_size`` (set by
+    :func:`expr_size`) and ``_simple`` (set by :func:`simplify` on every
+    node of its result, meaning "already a fixpoint of simplification").
+    Both describe the node's structure only, so a node shared by many
+    trees can carry them.  They are written with ``object.__setattr__``
+    because the nodes are frozen; an unset slot raises ``AttributeError``.
     """
+
+    __slots__ = ("_size", "_simple")
+    _size: int
+    _simple: bool
 
     # -- convenience operator overloads (build new AST nodes) -------------
     def __add__(self, other: "Expr | Any") -> "Arith":
@@ -112,7 +125,7 @@ def _wrap(value: Any) -> Expr:
     return Const(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Expr):
     """A literal constant (``c`` in the grammar)."""
 
@@ -123,14 +136,14 @@ class Const(Expr):
             raise TypeError("Const cannot wrap another expression")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attr(Expr):
     """A reference to an attribute of the input tuple (``v``)."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Expr):
     """A symbolic variable, used by VC-tables and the MILP compiler.
 
@@ -142,7 +155,7 @@ class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arith(Expr):
     """Binary arithmetic ``e {+, -, *, /} e``."""
 
@@ -155,7 +168,7 @@ class Arith(Expr):
             raise ValueError(f"unknown arithmetic operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cmp(Expr):
     """Comparison ``e {=, !=, <, <=, >, >=} e`` (a condition)."""
 
@@ -168,7 +181,7 @@ class Cmp(Expr):
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Logic(Expr):
     """Boolean connective ``phi {and, or} phi``."""
 
@@ -181,21 +194,21 @@ class Logic(Expr):
             raise ValueError(f"unknown logic operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Expr):
     """Negation ``not phi``."""
 
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsNull(Expr):
     """NULL test ``e isnull``."""
 
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If(Expr):
     """Conditional expression ``if phi then e else e``."""
 
@@ -393,8 +406,16 @@ def variables_of(expr: Expr) -> set[str]:
 
 
 def expr_size(expr: Expr) -> int:
-    """Number of nodes in the expression tree."""
-    return sum(1 for _ in walk(expr))
+    """Number of nodes in the expression tree, cached on each node."""
+    try:
+        return expr._size
+    except AttributeError:
+        pass
+    size = 1
+    for child in children_of(expr):
+        size += expr_size(child)
+    object.__setattr__(expr, "_size", size)
+    return size
 
 
 def _rebuild(expr: Expr, children: tuple[Expr, ...]) -> Expr:
@@ -412,18 +433,6 @@ def _rebuild(expr: Expr, children: tuple[Expr, ...]) -> Expr:
     if isinstance(expr, If):
         return If(children[0], children[1], children[2])
     return expr
-
-
-def transform(expr: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:
-    """Bottom-up rewrite: apply ``fn`` to each node after rewriting its
-    children; ``fn`` returns a replacement node or ``None`` to keep it."""
-    children = children_of(expr)
-    if children:
-        new_children = tuple(transform(c, fn) for c in children)
-        if new_children != children:
-            expr = _rebuild(expr, new_children)
-    replacement = fn(expr)
-    return expr if replacement is None else replacement
 
 
 def substitute(expr: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
@@ -455,18 +464,42 @@ def substitute_attributes(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
     symbolic execution: all replacements happen simultaneously over the
     *original* expression.
     """
-    if not mapping:
-        return expr
-    return substitute(
-        expr, {Attr(name): repl for name, repl in mapping.items()}
-    )
+    return _substitute_named(expr, Attr, mapping)
 
 
 def substitute_variables(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace :class:`Var` references by name (simultaneous)."""
+    return _substitute_named(expr, Var, mapping)
+
+
+def _substitute_named(
+    expr: Expr, kind: type[Attr] | type[Var], mapping: Mapping[str, Expr]
+) -> Expr:
+    """:func:`substitute` with keys ``kind(name)``, matched by name.
+
+    Looking names up directly avoids hashing every visited node (frozen
+    dataclasses rehash their whole subtree on each call).  Subtrees with
+    no replaced reference are returned as the same objects, so the caches
+    of :func:`expr_size` and :func:`simplify` on them stay usable; an
+    identity replacement (``A <- A``, as in every reenacted attribute an
+    update leaves alone) counts as none.
+    """
     if not mapping:
         return expr
-    return substitute(expr, {Var(name): repl for name, repl in mapping.items()})
+
+    def visit(node: Expr) -> Expr:
+        if isinstance(node, kind):
+            repl = mapping.get(node.name)
+            return node if repl is None or repl == node else repl
+        children = children_of(node)
+        if not children:
+            return node
+        new_children = tuple(visit(c) for c in children)
+        if all(new is old for new, old in zip(new_children, children)):
+            return node
+        return _rebuild(node, new_children)
+
+    return visit(expr)
 
 
 def rename_attributes(expr: Expr, mapping: Mapping[str, str]) -> Expr:
@@ -570,13 +603,32 @@ def _simplify_node(expr: Expr) -> Expr | None:
 
 
 def simplify(expr: Expr) -> Expr:
-    """Simplify an expression to a fixpoint of the local rules."""
-    previous: Expr | None = None
-    current = expr
-    while current != previous:
-        previous = current
-        current = transform(current, _simplify_node)
-    return current
+    """Simplify an expression to a fixpoint of the local rules.
+
+    One bottom-up pass reaches the fixpoint: the children are simplified
+    first (and so are fixpoints), then :func:`_simplify_node` either keeps
+    the node — a node of fixpoint children that no rule rewrites is itself
+    a fixpoint — or returns a :class:`Const`, which no rule rewrites, or
+    returns a child or grandchild, which is a subtree of an already
+    simplified child and hence a fixpoint.  Every node of the result is
+    therefore marked ``_simple``, and a marked node is returned at once:
+    simplifying an already simplified tree costs O(1), and a tree that
+    shares simplified subtrees costs only its new nodes.
+    """
+    try:
+        if expr._simple:
+            return expr
+    except AttributeError:
+        pass
+    children = children_of(expr)
+    if children:
+        new_children = tuple(simplify(c) for c in children)
+        if any(new is not old for new, old in zip(new_children, children)):
+            expr = _rebuild(expr, new_children)
+    replacement = _simplify_node(expr)
+    result = expr if replacement is None else replacement
+    object.__setattr__(result, "_simple", True)
+    return result
 
 
 def is_condition(expr: Expr) -> bool:

@@ -168,7 +168,6 @@ def build_workload(spec: WorkloadSpec) -> Workload:
     rng.shuffle(kinds)
 
     next_insert_key = spec.rows + 1
-    schema = relation.schema
     for kind in kinds:
         if kind == "dep":
             start = rng.uniform(
@@ -200,7 +199,7 @@ def build_workload(spec: WorkloadSpec) -> Workload:
                 )
             )
         elif kind == "insert":
-            row = _synthesize_row(schema, relation, next_insert_key, rng)
+            row = _synthesize_row(relation, next_insert_key)
             next_insert_key += 1
             statements.append(InsertTuple(spec.relation_name, row))
         else:  # delete: a narrow independent window, so the table survives
@@ -263,16 +262,13 @@ def build_workload(spec: WorkloadSpec) -> Workload:
     )
 
 
-def _synthesize_row(
-    schema, relation: Relation, key: int, rng: np.random.Generator
-) -> tuple[Any, ...]:
-    """A fresh row for inserts: copy a random existing row, replace the
-    key (first attribute) with a fresh one."""
-    template = next(iter(relation.tuples))
-    row = list(template)
-    row[0] = key
-    jitter_index = min(2, len(row) - 1)
-    value = row[jitter_index]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        row[jitter_index] = value
-    return tuple(row)
+def _synthesize_row(relation: Relation, key: int) -> tuple[Any, ...]:
+    """A fresh row for inserts: a copy of the row with the smallest key
+    (the first attribute) with the key replaced by ``key``.
+
+    The template is chosen by value, not by set iteration order, so a
+    seeded workload inserts the same rows in every process whatever its
+    ``PYTHONHASHSEED``; it draws nothing from the workload's generator.
+    """
+    template = min(relation.tuples, key=lambda row: row[0])
+    return (key,) + tuple(template[1:])

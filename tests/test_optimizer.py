@@ -23,8 +23,10 @@ from repro.relational.expressions import (
     le,
     lit,
 )
+from repro.relational import expressions
 from repro.relational.optimizer import OptimizerConfig, optimize
 from repro.relational.statements import UpdateStatement
+from repro.workloads import WorkloadSpec, build_workload
 
 SCHEMA = Schema.of("k", "v")
 
@@ -172,3 +174,37 @@ class TestReenactmentStacks:
             query, Method.R
         )
         assert plain.delta == optimized.delta
+
+
+class TestWorkBound:
+    """Deterministic guard against re-simplifying whole trees at every
+    projection merge: count ``_simplify_node`` calls, not time."""
+
+    def _simplify_calls(self, monkeypatch, updates):
+        workload = build_workload(
+            WorkloadSpec(dataset="taxi", rows=200, updates=updates, seed=42)
+        )
+        schemas = {
+            name: workload.database.schema_of(name)
+            for name in workload.database.relations
+        }
+        query = reenactment_query(workload.history, "data", schemas)
+        calls = 0
+        original = expressions._simplify_node
+
+        def counting(expr):
+            nonlocal calls
+            calls += 1
+            return original(expr)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(expressions, "_simplify_node", counting)
+            optimize(query)
+        return calls
+
+    def test_simplify_calls_bounded(self, monkeypatch):
+        at_40 = self._simplify_calls(monkeypatch, 40)
+        at_80 = self._simplify_calls(monkeypatch, 80)
+        # The fixpoint-loop simplifier made 60,008 calls at U=80.
+        assert at_80 <= 6_000
+        assert at_80 <= 2.2 * at_40

@@ -149,3 +149,36 @@ class TestBuildWorkload:
         w1, w2 = build_workload(spec), build_workload(spec)
         assert w1.history == w2.history
         assert w1.modifications == w2.modifications
+
+    def test_reproducible_across_hash_seeds(self):
+        """Inserted rows must not depend on set iteration order, which
+        changes with ``PYTHONHASHSEED`` from process to process."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.workloads import WorkloadSpec, build_workload\n"
+            "w = build_workload(WorkloadSpec(rows=300, updates=20, "
+            "insert_pct=20.0, delete_pct=10.0, seed=1))\n"
+            "print(repr(tuple(w.history)))\n"
+            "print(repr(w.modifications))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(
+                os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src)
+            )
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+        assert "InsertTuple" in outputs[0]
+        assert outputs[0] == outputs[1]
