@@ -7,9 +7,9 @@ answering").  :func:`answer_batch_with` amortizes three things a
 sequential ``answer`` loop repeats per query:
 
 1. **Time travel** — every distinct ``(database, history-prefix)``
-   version is materialized once; versions are built shallowest-first so
-   a deeper prefix replays only the statements past the deepest shared
-   prefix already computed.
+   version is materialized once: ``History.execute`` remembers it on the
+   database, and a deeper prefix replays only the statements past the
+   deepest prefix already remembered there (DESIGN.md, "Time travel").
 2. **Reenactment planning** — queries whose (sliced) statement pairs are
    structurally identical share finished operator trees, data-slicing
    conditions and optimized plans through a keyed cache one level above
@@ -49,9 +49,7 @@ from concurrent.futures import (
 from typing import Callable, Sequence
 
 from ..obs import trace
-from ..relational.database import Database
 from ..relational.exec.backend import BACKEND_SQLITE, resolve_backend
-from ..relational.statements import Statement
 from .degradation import record_degradation
 from .delta import DatabaseDelta, RelationDelta
 from .engine import (
@@ -59,7 +57,7 @@ from .engine import (
     MahifResult,
     Method,
     _relation_delta_task,
-    _statement_share_key,
+    _start_database,
 )
 from .hwq import HistoricalWhatIfQuery
 from .naive import NaiveResult, naive_what_if
@@ -67,67 +65,7 @@ from .naive import NaiveResult, naive_what_if
 __all__ = [
     "ResilientExecutor",
     "answer_batch_with",
-    "shared_start_databases",
 ]
-
-
-def _trimmed_prefix(query: HistoricalWhatIfQuery) -> tuple[Statement, ...]:
-    """The statements before the query's first modified position."""
-    _, prefix_length = query.aligned().trim_prefix()
-    return tuple(query.history.statements[:prefix_length])
-
-
-def shared_start_databases(
-    queries: Sequence[HistoricalWhatIfQuery],
-) -> list[Database]:
-    """The time-travelled start database for every query, shared.
-
-    Queries over the same database instance share prefix replay work:
-    distinct prefixes are materialized shallowest-first, each starting
-    from the deepest already-materialized prefix of itself, so a batch
-    whose modifications all sit at one position replays the common
-    prefix exactly once.  Statements run through the ambient execution
-    backend, like the sequential path.
-    """
-    prefixes = [_trimmed_prefix(query) for query in queries]
-    keys: list[tuple | None] = []
-    for query, prefix in zip(queries, prefixes):
-        # Statements hash via their structural share key (UpdateStatement
-        # carries a dict); unhashable constants fall back to no sharing.
-        # Building the tuple never hashes, so probe with hash() here —
-        # otherwise the TypeError would escape from versions.get() below.
-        try:
-            key = (
-                id(query.database),
-                tuple(_statement_share_key(s) for s in prefix),
-            )
-            hash(key)
-            keys.append(key)
-        except TypeError:
-            keys.append(None)
-    versions: dict[tuple, Database] = {}
-    results: list[Database | None] = [None] * len(queries)
-    for index in sorted(range(len(queries)), key=lambda i: len(prefixes[i])):
-        query, prefix, key = queries[index], prefixes[index], keys[index]
-        state = versions.get(key) if key is not None else None
-        if state is None:
-            base, done = query.database, 0
-            if key is not None:
-                db_id, prefix_key = key
-                for (other_id, other), other_state in versions.items():
-                    if (
-                        other_id == db_id
-                        and done < len(other) <= len(prefix)
-                        and other == prefix_key[: len(other)]
-                    ):
-                        base, done = other_state, len(other)
-            state = base
-            for stmt in prefix[done:]:
-                state = stmt.apply(state)
-            if key is not None:
-                versions[key] = state
-        results[index] = state
-    return results  # type: ignore[return-value]
 
 
 class ResilientExecutor:
@@ -351,18 +289,11 @@ def answer_batch_with(
     queries: Sequence[HistoricalWhatIfQuery],
     method: Method,
     workers: int | None = None,
-    start_databases: Sequence[Database] | None = None,
     *,
     explain: bool = False,
 ) -> list[MahifResult]:
     """Answer ``queries`` with ``method``; the worker behind
     :meth:`Mahif.answer_batch` (which scopes the configured backend).
-
-    ``start_databases`` optionally injects the time-travelled state
-    before each query's first modified statement — the what-if service
-    passes versions reconstructed from a :class:`~repro.store.
-    HistoryStore` checkpoint (nearest checkpoint + bounded replay)
-    instead of replaying the whole prefix here.
 
     ``explain=True`` attaches EXPLAIN ANALYZE per-operator profiles to
     every result; profiled evaluation runs serially in-process (per-node
@@ -372,10 +303,6 @@ def answer_batch_with(
     """
     if not queries:
         return []
-    if start_databases is not None and len(start_databases) != len(queries):
-        raise ValueError(
-            "start_databases must supply one database per query"
-        )
     config = engine.config
     backend = resolve_backend(config.backend)
     if workers is None:
@@ -396,8 +323,7 @@ def answer_batch_with(
                 for naive in naives
             ]
         return _answer_reenactment_batch(
-            engine, backend, queries, method, executor, start_databases,
-            explain=explain,
+            engine, backend, queries, method, executor, explain=explain,
         )
     finally:
         if executor is not None:
@@ -412,14 +338,9 @@ def _answer_reenactment_batch(
     queries: Sequence[HistoricalWhatIfQuery],
     method: Method,
     executor: Executor | None,
-    start_databases: Sequence[Database] | None = None,
     explain: bool = False,
 ) -> list[MahifResult]:
-    start_dbs = (
-        list(start_databases)
-        if start_databases is not None
-        else shared_start_databases(queries)
-    )
+    start_dbs = [_start_database(query) for query in queries]
     shared: dict | None = {} if engine.config.batch_share_plans else None
     with trace.span(
         "plan", method=method.value, queries=len(queries)

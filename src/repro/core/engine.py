@@ -50,10 +50,9 @@ from ..relational.optimizer import OptimizerConfig, optimize
 from ..relational.relation import Relation
 from ..relational.schema import Schema
 from ..relational.statements import (
-    DeleteStatement,
     InsertQuery,
     InsertTuple,
-    UpdateStatement,
+    statement_share_key,
 )
 from ..obs import trace
 from .data_slicing import DataSlicingConditions, compute_data_slicing
@@ -269,40 +268,6 @@ class MahifResult:
         return self.ps_seconds + self.exe_seconds
 
 
-def _statement_share_key(stmt) -> tuple:
-    """A hashable structural key for one statement, type-faithful.
-
-    Dataclass equality compares ``Const(1) == Const(True)``, yet the two
-    produce differently-typed rows — so, exactly like the plan cache's
-    :func:`~repro.relational.exec.plan_compile.plan_fingerprint`, the
-    key carries the types of every embedded constant alongside the
-    statement structure.  Used by the batch path to detect queries whose
-    sliced histories are interchangeable (see ``_plan_reenactment``).
-    """
-    from ..relational.exec.expr_compile import const_fingerprint
-    from ..relational.exec.plan_compile import plan_fingerprint
-
-    if isinstance(stmt, UpdateStatement):
-        sets = tuple(sorted(stmt.set_clauses.items()))
-        fingerprint = const_fingerprint(stmt.condition) + tuple(
-            part for _, expr in sets for part in const_fingerprint(expr)
-        )
-        return ("U", stmt.relation, sets, stmt.condition, fingerprint)
-    if isinstance(stmt, DeleteStatement):
-        return (
-            "D", stmt.relation, stmt.condition,
-            const_fingerprint(stmt.condition),
-        )
-    if isinstance(stmt, InsertTuple):
-        return (
-            "I", stmt.relation, stmt.values,
-            tuple(type(v).__name__ for v in stmt.values),
-        )
-    if isinstance(stmt, InsertQuery):
-        return ("IQ", stmt.relation, stmt.query, plan_fingerprint(stmt.query))
-    return ("?", stmt)
-
-
 @dataclass(frozen=True)
 class _ReenactmentPlan:
     """Everything ``_plan_reenactment`` produces ahead of evaluation.
@@ -329,6 +294,14 @@ class _ReenactmentPlan:
     routing: DataSlicingConditions | None
     ps_seconds: float
     build_seconds: float
+
+
+def _start_database(query: HistoricalWhatIfQuery) -> Database:
+    """Time travel: the state before the query's first modified
+    statement, remembered on ``query.database`` (DESIGN.md, "Time
+    travel")."""
+    _, prefix_length = query.aligned().trim_prefix()
+    return query.history.prefix(prefix_length).execute(query.database)
 
 
 def _relation_delta_task(
@@ -458,7 +431,6 @@ class Mahif:
         method: Method = Method.R_PS_DS,
         *,
         workers: int | None = None,
-        start_databases: Sequence[Database] | None = None,
         explain: bool = False,
     ) -> list[MahifResult]:
         """Answer several HWQs over a shared history in one call.
@@ -468,19 +440,15 @@ class Mahif:
         structure across the batch (see DESIGN.md, "Batched answering"):
 
         * each distinct ``(database, history-prefix)`` version is
-          time-travelled to once, reusing the deepest shared prefix
-          already materialized,
+          time-travelled to once: :meth:`History.execute
+          <repro.relational.history.History.execute>` remembers it on
+          the database (DESIGN.md, "Time travel"),
         * queries that slice to the same statement set share their
           reenactment operator trees, data-slicing conditions and
           optimized plans (``config.batch_share_plans``),
         * per-(query, relation) delta evaluations fan out over a worker
           pool when ``workers``/``config.batch_workers`` > 1 — a process
           pool for the in-process backends, a thread pool for sqlite.
-
-        ``start_databases`` optionally injects each query's
-        time-travelled start version (the what-if service supplies
-        checkpoint-reconstructed states from its history store instead
-        of replaying prefixes here).
 
         With a pool, each result's ``exe_seconds`` is the summed worker
         time of its relation evaluations (CPU cost, not wall clock).
@@ -489,7 +457,7 @@ class Mahif:
 
         with use_backend(self.config.backend):
             return answer_batch_with(
-                self, list(queries), method, workers, start_databases,
+                self, list(queries), method, workers,
                 explain=explain or self.config.profile,
             )
 
@@ -641,20 +609,16 @@ class Mahif:
     ) -> _ReenactmentPlan:
         """Run the pipeline up to (but not including) delta evaluation.
 
-        ``start_db`` lets the batch path inject a pre-computed
-        time-travel version; ``shared`` is the batch's keyed plan cache
+        ``start_db`` lets the batch path pass the time-travelled version
+        it already holds; ``shared`` is the batch's keyed plan cache
         — one level above the per-process compiled-plan cache in
         :mod:`repro.relational.exec.plan_compile` — mapping the sliced
         statement pair (plus schemas, method and insert-split context)
         to finished ``(queries_h, queries_m, data_slicing)`` triples.
         """
-        aligned = query.aligned()
-        trimmed, prefix_length = aligned.trim_prefix()
+        trimmed, _ = query.aligned().trim_prefix()
         if start_db is None:
-            # Time travel: the state before the first modified statement.
-            start_db = query.history.prefix(prefix_length).execute(
-                query.database
-            )
+            start_db = _start_database(query)
         schemas = {
             name: start_db.schema_of(name) for name in start_db.relations
         }
@@ -718,11 +682,11 @@ class Mahif:
                 share_key = (
                     method,
                     tuple(
-                        _statement_share_key(s)
+                        statement_share_key(s)
                         for s in pair.original.statements
                     ),
                     tuple(
-                        _statement_share_key(s)
+                        statement_share_key(s)
                         for s in pair.modified.statements
                     ),
                     tuple(sorted(schemas.items())),

@@ -21,6 +21,7 @@ the split because ``Q(A ∪ B) ≠ Q(A) ∪ Q(B)`` in general).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping
 
 from ..relational.database import Database
@@ -99,9 +100,13 @@ def split_inserts(
     without = AlignedHistories(
         History(tuple(original_side)), History(tuple(modified_side))
     )
+    # A plain fold, not ``History.execute``: states of a throwaway empty
+    # database are not time travel and are not worth remembering.
     empty = _empty_database(schemas)
-    inserted_original = aligned.original.execute(empty)
-    inserted_modified = aligned.modified.execute(empty)
+    inserted_original, inserted_modified = (
+        reduce(lambda db, stmt: stmt.apply(db), side, empty)
+        for side in (aligned.original, aligned.modified)
+    )
     return InsertSplit(
         without_inserts=without,
         insert_positions=tuple(insert_positions),

@@ -2,13 +2,14 @@
 
 A database ``D`` is a set of relations ``R_1 ... R_n`` (Section 2).  Like
 relations, databases are immutable: replacing one relation produces a new
-database sharing every other relation's storage.
+database sharing every other relation's storage, and remembering the
+states ``History.execute`` computed from it (DESIGN.md, "Time travel").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from .relation import Relation
 from .schema import Schema, SchemaError
@@ -21,9 +22,24 @@ class Database:
     """An immutable database instance mapping relation names to relations."""
 
     relations: Mapping[str, Relation] = field(default_factory=dict)
+    #: ``(backend, statement share keys) -> H(self)``, filled (by
+    #: replacement, never growth) by ``History.execute``.  Cannot go
+    #: stale; not part of ``==``, ``hash``, ``repr`` or pickles.
+    _versions: Mapping[tuple[Any, ...], "Database"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "relations", dict(self.relations))
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Pickles (process-pool payloads among them) carry one state,
+        # never the versions remembered on it.
+        return {"relations": self.relations}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        object.__setattr__(self, "relations", state["relations"])
+        object.__setattr__(self, "_versions", {})
 
     # -- access ----------------------------------------------------------
     def __getitem__(self, name: str) -> Relation:

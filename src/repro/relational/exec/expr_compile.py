@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import copysign
 from typing import Any, Callable, Sequence
 
 from ..expressions import (
@@ -40,7 +41,7 @@ from ..expressions import (
     Logic,
     Not,
     Var,
-    walk,
+    children_of,
 )
 from ..schema import Schema
 
@@ -51,24 +52,38 @@ __all__ = [
     "const_fingerprint",
     "clear_expr_cache",
     "expr_cache_info",
+    "type_tag",
 ]
 
 
-def const_fingerprint(expr: Expr) -> tuple[str, ...]:
-    """Types of every constant embedded in the tree, in walk order.
+def type_tag(value: Any) -> str:
+    """The type name of ``value``, with ``-0.0`` told apart from ``0.0``:
+    cache keys compare values with ``==``, under which ``1 == True`` and
+    ``-0.0 == 0.0``, so they carry this tag next to every value."""
+    if type(value) is float and value == 0.0 and copysign(1.0, value) < 0:
+        return "-float"
+    return type(value).__name__
 
-    Required in every compilation cache key: ``Const(False) == Const(0)``
-    and ``Const(1) == Const(True) == Const(1.0)`` under dataclass
-    equality (Python's cross-type numeric ``==``), yet they must compile
-    to closures producing differently-typed values.  Two trees that
-    compare equal have structurally aligned walks, so equal fingerprints
-    really mean interchangeable compilations.
+
+def const_fingerprint(*exprs: Expr) -> tuple[str, ...]:
+    """:func:`type_tag` of every constant embedded in the trees, in
+    pre-order.
+
+    Required in every compilation cache key: ``Const(1) == Const(True) ==
+    Const(1.0)`` and ``Const(-0.0) == Const(0.0)`` under dataclass
+    equality, yet they must compile to closures producing different
+    values.  Trees that compare equal are structurally aligned, so equal
+    fingerprints really mean interchangeable compilations.
     """
-    return tuple(
-        type(node.value).__name__
-        for node in walk(expr)
-        if isinstance(node, Const)
-    )
+    tags: list[str] = []
+    stack = list(reversed(exprs))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Const):
+            tags.append(type_tag(node.value))
+        else:
+            stack.extend(children_of(node))
+    return tuple(tags)
 
 #: Operator spellings in generated code.
 _ARITH_SOURCE = {"+": "+", "-": "-", "*": "*", "/": "/"}
@@ -298,10 +313,7 @@ def compile_row(
     """
     exprs = tuple(exprs)
     try:
-        fingerprint = tuple(
-            part for expr in exprs for part in const_fingerprint(expr)
-        )
-        return _compile_row_cached(exprs, schema, fingerprint)
+        return _compile_row_cached(exprs, schema, const_fingerprint(*exprs))
     except TypeError:
         emitter = _Emitter(schema)
         atoms = [emitter.lower(expr, 1) for expr in exprs]

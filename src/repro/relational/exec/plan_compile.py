@@ -55,7 +55,12 @@ from ..expressions import (
 )
 from ..relation import Relation
 from ..schema import Schema, SchemaError, check_union_compatible
-from .expr_compile import compile_predicate, compile_row, const_fingerprint
+from .expr_compile import (
+    compile_predicate,
+    compile_row,
+    const_fingerprint,
+    type_tag,
+)
 
 __all__ = [
     "CompiledPlan",
@@ -69,22 +74,25 @@ __all__ = [
 
 
 def plan_fingerprint(op: Operator) -> tuple[str, ...]:
-    """Types of every constant embedded in the plan, in walk order.
+    """:func:`~.expr_compile.type_tag` of every constant embedded in the
+    plan, in walk order.
 
     Same role as :func:`.expr_compile.const_fingerprint` but for whole
     operator trees: ``Singleton`` rows and condition/projection constants
-    compare equal across bool/int/float (``(1,) == (True,)``), so the
-    value types must be part of the plan-cache key.
+    compare equal across bool/int/float and across the two float zeros
+    (``(1,) == (True,)``, ``(-0.0,) == (0.0,)``), so the value tags must
+    be part of the plan-cache key.
     """
     parts: list[str] = []
     for node in walk_operators(op):
         if isinstance(node, Singleton):
-            parts.extend(type(value).__name__ for value in node.row)
+            parts.extend(type_tag(value) for value in node.row)
         elif isinstance(node, (Select, Join)):
             parts.extend(const_fingerprint(node.condition))
         elif isinstance(node, Project):
-            for expr, _ in node.outputs:
-                parts.extend(const_fingerprint(expr))
+            parts.extend(
+                const_fingerprint(*(expr for expr, _ in node.outputs))
+            )
     return tuple(parts)
 
 #: A factory producing one streaming pass over the rows of a (sub)plan.

@@ -9,12 +9,23 @@ used by time travel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
+from ..obs import trace
+from ..obs.metrics import global_registry
 from .database import Database
-from .statements import Statement, is_tuple_independent
+from .exec.backend import resolve_backend
+from .statements import Statement, is_tuple_independent, statement_share_key
 
 __all__ = ["History"]
+
+_TIME_TRAVELS = global_registry().counter(
+    "mahif_time_travel_total",
+    "History executions by whether the input database already remembered "
+    "the result (hit), only a shorter prefix of it (partial) or neither "
+    "(miss).",
+    ("outcome",),
+)
 
 
 @dataclass(frozen=True)
@@ -47,10 +58,43 @@ class History:
 
     # -- execution -----------------------------------------------------------
     def execute(self, db: Database) -> Database:
-        """``H(D)``: apply all statements in order."""
-        for stmt in self.statements:
-            db = stmt.apply(db)
-        return db
+        """``H(D)``: apply all statements in order.
+
+        The result is remembered on ``db``, keyed by the ambient backend
+        and the statements' share keys; a miss replays only the statements
+        past the longest prefix remembered there (DESIGN.md, "Time
+        travel").  Unhashable constants replay without memoization.
+        """
+        if not self.statements:
+            return db
+        with trace.span("time_travel", statements=len(self)) as span:
+            key: tuple[Any, ...] | None = (
+                resolve_backend(None),
+                tuple(statement_share_key(s) for s in self.statements),
+            )
+            try:
+                state = db._versions.get(key)
+            except TypeError:  # unhashable constant: nothing to key on
+                key, state = None, None
+            outcome, done = "hit", len(self)
+            if state is None:
+                state, done = (
+                    _nearest_version(db, key) if key is not None else (db, 0)
+                )
+                outcome = "partial" if done else "miss"
+                for stmt in self.statements[done:]:
+                    state = stmt.apply(state)
+                if key is not None:
+                    # A new mapping, never a grown one: readers in other
+                    # threads iterate the mapping they loaded.
+                    object.__setattr__(
+                        db, "_versions", {**db._versions, key: state}
+                    )
+            span.set_attributes(
+                {"replayed": len(self) - done, "outcome": outcome}
+            )
+            _TIME_TRAVELS.inc(outcome=outcome)
+            return state
 
     def execute_with_snapshots(self, db: Database) -> Iterator[Database]:
         """Lazily yield ``D_0, D_1, ..., D_n`` where ``D_i = H_i(D)``.
@@ -141,3 +185,22 @@ class History:
     def positions(self) -> range:
         """1-based positions of the history's statements."""
         return range(1, len(self.statements) + 1)
+
+
+def _nearest_version(
+    db: Database, key: tuple[Any, ...]
+) -> tuple[Database, int]:
+    """The state remembered on ``db`` for the longest proper prefix of
+    ``key``'s statements under ``key``'s backend, and that prefix's
+    length; ``(db, 0)`` when there is none."""
+    backend, keys = key
+    nearest, done = db, 0
+    for (other_backend, other_keys), state in db._versions.items():
+        size = len(other_keys)
+        if (
+            other_backend == backend
+            and done < size < len(keys)
+            and keys[:size] == other_keys
+        ):
+            nearest, done = state, size
+    return nearest, done

@@ -29,6 +29,8 @@ from .exec.backend import (
     BACKEND_VECTOR,
     resolve_backend,
 )
+from .exec.expr_compile import const_fingerprint, type_tag
+from .exec.plan_compile import plan_fingerprint
 from .expressions import (
     Expr,
     FALSE,
@@ -50,7 +52,7 @@ __all__ = [
     "no_op",
     "is_no_op",
     "is_tuple_independent",
-    "statements_equal",
+    "statement_share_key",
 ]
 
 
@@ -262,6 +264,33 @@ def is_tuple_independent(stmt: Statement) -> bool:
     return not isinstance(stmt, InsertQuery)
 
 
-def statements_equal(a: Statement, b: Statement) -> bool:
-    """Structural equality of statements (dataclass equality)."""
-    return a == b
+def statement_share_key(stmt: Statement) -> tuple[Any, ...]:
+    """A hashable structural key for one statement, type-faithful.
+
+    Dataclass equality compares ``Const(1) == Const(True)`` and
+    ``Const(-0.0) == Const(0.0)``, yet each writes different rows; so,
+    like :func:`~repro.relational.exec.plan_compile.plan_fingerprint`,
+    the key carries the :func:`~repro.relational.exec.expr_compile.
+    type_tag` of every embedded constant.  Keys the batch plan cache, the
+    service's result cache and the versions ``History.execute``
+    remembers.  Hashing it raises ``TypeError`` for unhashable constants.
+    """
+    if isinstance(stmt, UpdateStatement):
+        sets = tuple(sorted(stmt.set_clauses.items()))
+        fingerprint = const_fingerprint(
+            stmt.condition, *(expr for _, expr in sets)
+        )
+        return ("U", stmt.relation, sets, stmt.condition, fingerprint)
+    if isinstance(stmt, DeleteStatement):
+        return (
+            "D", stmt.relation, stmt.condition,
+            const_fingerprint(stmt.condition),
+        )
+    if isinstance(stmt, InsertTuple):
+        return (
+            "I", stmt.relation, stmt.values,
+            tuple(type_tag(v) for v in stmt.values),
+        )
+    if isinstance(stmt, InsertQuery):
+        return ("IQ", stmt.relation, stmt.query, plan_fingerprint(stmt.query))
+    return ("?", stmt)

@@ -33,9 +33,10 @@ API (all request/response bodies are JSON)::
                                        backend?, workers?, shards?}
 
 Single queries run through :meth:`Mahif.answer_batch` with a one-element
-batch so both endpoints share the same machinery — shared time travel
-(the store's checkpoint-reconstructed version is injected, never a full
-prefix replay) and, within a batch, shared reenactment plans.
+batch so both endpoints share the same machinery — time travel from the
+history's initial database, whose versions the engine remembers across
+requests (DESIGN.md, "Time travel"), and, within a batch, shared
+reenactment plans.
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping, Sequence
 
 from ..core import HistoricalWhatIfQuery, Mahif, MahifConfig, Method
-from ..core.engine import _statement_share_key
 from ..relational import BACKENDS
 from ..relational.database import Database
 from ..relational.history import History
 from ..relational.parser import ParseError, parse_history
-from ..relational.statements import Statement
+from ..relational.statements import Statement, statement_share_key
 from ..store import (
     CodecError,
     DEFAULT_CHECKPOINT_INTERVAL,
@@ -510,7 +510,7 @@ class WhatIfService:
                 (
                     type(mod).__name__,
                     mod.position,
-                    _statement_share_key(stmt) if stmt is not None else None,
+                    statement_share_key(stmt) if stmt is not None else None,
                 )
             )
         key = (method.value, backend, tuple(parts))
@@ -536,9 +536,10 @@ class WhatIfService:
 
         Cache hits are returned immediately; misses are answered in one
         ``answer_batch`` call (shared time travel + shared plans across
-        the missing queries) with each start version reconstructed from
-        the store's nearest checkpoint.  ``shards`` > 1 answers through
-        the sharded execution path (DESIGN.md, "Sharded execution");
+        the missing queries), outside the history lock, each start
+        version time-travelled from the history's initial database.
+        ``shards`` > 1 answers through the sharded execution path
+        (DESIGN.md, "Sharded execution");
         ``shards="auto"``/``0`` lets the cost-based planner decide per
         query — each response then records the ``planner`` decision and
         its ``shards`` field reports the *chosen* count, under which the
@@ -650,23 +651,6 @@ class WhatIfService:
                 }
             )
             misses = [q for q in queries if q is not None]
-            # Time travel through the store: nearest checkpoint + bounded
-            # replay, materialized once per *distinct* prefix, under the
-            # lock so the log cannot advance between history snapshot
-            # and version load.  NAIVE replays whole histories itself
-            # and ignores injected start versions — skip the I/O.
-            start_dbs = None
-            if misses and method_enum is not Method.NAIVE:
-                prefix_lengths = [
-                    self._prefix_length(query) for query in misses
-                ]
-                by_length = {
-                    length: handle.store.as_of(length)
-                    for length in set(prefix_lengths)
-                }
-                start_dbs = [
-                    by_length[length] for length in prefix_lengths
-                ]
 
         if misses:
             # The deadline path runs the closure on a worker thread;
@@ -680,8 +664,7 @@ class WhatIfService:
 
             def _compute_misses() -> None:
                 answered_backend, degraded_from = self._answer_misses(
-                    backend, shards, misses, method_enum, workers,
-                    start_dbs, explain,
+                    backend, shards, misses, method_enum, workers, explain,
                 )
                 results, used_backend = answered_backend
                 fresh = iter(results)
@@ -740,8 +723,7 @@ class WhatIfService:
         return [outcome for outcome in outcomes if outcome is not None]
 
     def _answer_misses(
-        self, backend, shards, misses, method_enum, workers, start_dbs,
-        explain=False,
+        self, backend, shards, misses, method_enum, workers, explain=False,
     ):
         """One ``answer_batch`` call with sqlite→compiled degradation.
 
@@ -760,7 +742,6 @@ class WhatIfService:
                 misses,
                 method_enum,
                 workers=workers,
-                start_databases=start_dbs,
                 explain=explain,
             )
             return (results, backend), None
@@ -781,15 +762,9 @@ class WhatIfService:
                 misses,
                 method_enum,
                 workers=workers,
-                start_databases=start_dbs,
                 explain=explain,
             )
             return (results, "compiled"), "sqlite"
-
-    @staticmethod
-    def _prefix_length(query) -> int:
-        _, prefix_length = query.aligned().trim_prefix()
-        return prefix_length
 
     @property
     def deadline_timeouts(self) -> int:

@@ -17,7 +17,6 @@ from repro.core import (
     Method,
     Replace,
 )
-from repro.core.batch import shared_start_databases
 from repro.relational import Database, History, Relation, Schema, parse_statement
 from repro.relational.expressions import Attr, Cmp, Const, col, ge, gt
 from repro.relational.statements import (
@@ -172,17 +171,21 @@ class TestBatchEqualsSequential:
 
 class TestSharedWork:
     def test_shared_time_travel_versions(self):
-        """Queries modifying the same position share one start database;
-        deeper prefixes extend the shallower materialization."""
+        """Queries modifying the same position share one start database,
+        the version remembered on the query database."""
         db, history = _db(), _history()
-        queries = _batch(history, db)
-        starts = shared_start_databases(queries)
+        queries = _batch(history, db) + _batch(history, db)
+        results = Mahif(MahifConfig()).answer_batch(queries, Method.R)
+        starts = [result.base_database for result in results]
         # thresholds 55/65/75 all modify u1: prefix length 0 -> db itself
         assert starts[0] is db and starts[1] is db and starts[2] is db
-        # the position-4 modification time-travels past u1..u3
-        assert starts[3] is not db
-        expected = history.prefix(3).execute(db)
-        assert starts[3].relations == expected.relations
+        # the position-4 modification time-travels past u1..u3, once
+        assert starts[3] is not db and starts[7] is starts[3]
+        assert starts[3] is history.prefix(3).execute(db)
+        fresh = _db()
+        for stmt in history.prefix(3):
+            fresh = stmt.apply(fresh)
+        assert starts[3].relations == fresh.relations
 
     def test_identical_queries_share_plans(self):
         """Two equal queries hit the keyed plan cache: their results
@@ -232,8 +235,7 @@ class TestSharedWork:
     def test_unhashable_constants_fall_back_to_no_sharing(self):
         """Statements embedding unhashable constants cannot key either
         shared cache; the batch must still answer (regression: the
-        hash error used to escape from ``versions.get`` in
-        ``shared_start_databases``)."""
+        hash error used to escape from the time-travel version map)."""
         db = Database(
             {
                 "R": Relation.from_rows(

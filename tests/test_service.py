@@ -2,6 +2,7 @@
 equality with the in-process engine, result-cache behavior, concurrency,
 and restart persistence."""
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -25,6 +26,7 @@ from repro.service import (
     modifications_from_spec,
     result_payload,
 )
+from repro.store import HistoryStore
 
 BACKENDS = ("interpreted", "compiled", "sqlite")
 
@@ -389,6 +391,101 @@ class TestPersistence:
             assert before != after["delta"] or True  # values may coincide
         finally:
             revived.shutdown()
+
+
+class TestTimeTravel:
+    """Answers time-travel from the history's initial database, whose
+    versions the engine remembers; store checkpoints serve recovery."""
+
+    APPENDED = (
+        "UPDATE Orders SET Price = Price + 1 WHERE Country = 'US';"
+        "UPDATE Orders SET ShippingFee = ShippingFee + 1 WHERE Price <= 40;"
+    )
+
+    @staticmethod
+    def spec_at(position: int, threshold: int) -> dict:
+        return {
+            "replace": [
+                [position, f"UPDATE Orders SET ShippingFee = ShippingFee + 3 "
+                           f"WHERE Price >= {threshold}"]
+            ]
+        }
+
+    def _check(self, service, database, history):
+        for position in range(1, len(history) + 1):
+            spec = self.spec_at(position, 40)
+            (answer,) = service.answer("orders", [spec])
+            assert answer["delta"] == expected_delta(
+                database, history, spec
+            ), position
+
+    def test_answers_never_load_store_versions(
+        self, tmp_path, orders_db, paper_history, monkeypatch
+    ):
+        service = WhatIfService(tmp_path, checkpoint_interval=2, sync=False)
+        service.register("orders", orders_db, paper_history)
+        service.append("orders", parse_history(self.APPENDED))
+        loads: list[int] = []
+        as_of = HistoryStore.as_of
+
+        def spy(store, version):
+            loads.append(version)
+            return as_of(store, version)
+
+        monkeypatch.setattr(HistoryStore, "as_of", spy)
+        try:
+            service.answer(
+                "orders", [self.spec_at(p, 30) for p in range(1, 6)]
+            )
+            for position in (2, 4, 5):
+                service.answer("orders", [self.spec_at(position, 50)])
+        finally:
+            service.close()
+        assert loads == []
+
+    def test_answers_equal_in_process_across_appends_and_reopen(
+        self, tmp_path, orders_db, paper_history
+    ):
+        service = WhatIfService(tmp_path, checkpoint_interval=2, sync=False)
+        service.register("orders", orders_db, paper_history)
+        self._check(service, orders_db, paper_history)
+        service.append("orders", parse_history(self.APPENDED))
+        extended = History(
+            tuple(paper_history) + tuple(parse_history(self.APPENDED))
+        )
+        self._check(service, orders_db, extended)
+        service.close()
+        reopened = WhatIfService(tmp_path, checkpoint_interval=2, sync=False)
+        try:
+            self._check(reopened, orders_db, extended)
+        finally:
+            reopened.close()
+
+    def test_threads_at_different_positions_get_oracle_answers(
+        self, tmp_path, orders_db, paper_history
+    ):
+        service = WhatIfService(tmp_path, sync=False)
+        service.register("orders", orders_db, paper_history)
+        start = threading.Barrier(2)
+
+        def ask(position):
+            start.wait()
+            return [
+                service.answer("orders", [self.spec_at(position, t)])[0]
+                for t in (20, 45, 70)
+            ]
+
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                answers = dict(zip((2, 3), pool.map(ask, (2, 3))))
+        finally:
+            service.close()
+        for position, got in answers.items():
+            for threshold, answer in zip((20, 45, 70), got):
+                spec = self.spec_at(position, threshold)
+                assert answer["delta"] == expected_delta(
+                    orders_db, paper_history, spec
+                )
 
 
 class TestRobustness:
